@@ -1,15 +1,12 @@
 #!/usr/bin/env python
-"""End-to-end wall-clock benchmark: fast path vs the pre-PR engine.
+"""End-to-end wall-clock benchmark: serving engine vs the reference oracle.
 
 Times a Zipf-skewed query batch over a synthetic ccnews-like corpus on
 
-* the **reference** engine (``fast_path=False`` — per-value reference
-  decoders, reference executors, no decoded-block cache: the pre-fast-
-  path engine exactly),
-* the **fast** engine, cold decoded cache,
-* the **fast** engine, warm decoded cache (a second pass over the same
-  batch),
-* the **columnar** engine (numpy decode/score kernels), cold and warm,
+* the **reference** oracle (:class:`ReferenceAccelerator` — per-value
+  reference decoders, reference executors, no decoded-block cache),
+* the serving **columnar** engine, cold and warm (a second pass over
+  the same batch),
 * the columnar engine over a **zero-copy mmapped** ``.bossx`` file,
 * the batched parallel driver (:func:`repro.batch.run_query_batch`)
   on the columnar engine,
@@ -21,8 +18,8 @@ bulk path and ``decode_block_columnar`` numpy kernels vs the per-value
 Results are written as JSON (default: ``BENCH_pr7.json`` at the repo
 root) so future PRs have a perf trajectory to regress against:
 queries/sec, p50/p95 wall-clock per query, codec decode MB/s, and the
-fast-vs-reference speedups. ``--gate RATIO`` turns the run into a CI
-check: it fails unless the batch driver clears ``RATIO`` x the fast
+speedups over the reference. ``--gate RATIO`` turns the run into a CI
+check: it fails unless the batch driver clears ``RATIO`` x the reference
 cold pass measured in the same run (same corpus, same machine).
 
 Note: wall-clock here is *host simulation time*, not the paper's modeled
@@ -54,6 +51,7 @@ sys.path.insert(
 from repro.batch import run_query_batch  # noqa: E402
 from repro.compression import get_codec, list_codecs  # noqa: E402
 from repro.core import BossAccelerator, BossConfig  # noqa: E402
+from repro.core.engine import ReferenceAccelerator  # noqa: E402
 from repro.index import BLOCK_SIZE, load_index_mmap  # noqa: E402
 from repro.index.binaryio import save_index_binary  # noqa: E402
 from repro.workloads import make_corpus  # noqa: E402
@@ -74,40 +72,34 @@ def _pass_stats(report) -> dict:
 
 def bench_end_to_end(index, queries, k: int, workers: int,
                      mmap_index=None, batch_attempts: int = 1) -> dict:
-    """Reference vs fast vs columnar (cold/warm) vs the batch driver.
+    """Reference vs columnar (cold/warm) vs the batch driver.
 
-    The batch-driver pass runs the columnar engine — the fastest
-    serving configuration, and the one the CI gate holds to a multiple
-    of the fast cold pass. ``mmap_index`` (when given) adds a columnar
-    pass over the zero-copy mmapped index. ``batch_attempts > 1`` takes
-    the best of several batch-driver runs, keeping scheduler noise on
-    small shared machines out of the recorded number (and the CI gate).
+    The batch-driver pass runs the serving engine, the one the CI gate
+    holds to a multiple of the reference cold pass. ``mmap_index``
+    (when given) adds a columnar pass over the zero-copy mmapped index.
+    ``batch_attempts > 1`` takes the best of several batch-driver runs,
+    keeping scheduler noise on small shared machines out of the recorded
+    number (and the CI gate).
     """
-    reference = BossAccelerator(index, BossConfig(k=k), fast_path=False)
+    reference = ReferenceAccelerator(index, BossConfig(k=k))
     ref_report = run_query_batch(reference, queries, k=k, workers=1).report
     # Engines are dropped as soon as their passes finish: a retired
-    # engine's decoded-block cache otherwise stays live and its heap
-    # inflates GC pauses in every later pass.
+    # engine's caches otherwise stay live and their heap inflates GC
+    # pauses in every later pass.
     del reference
     gc.collect()
 
-    fast = BossAccelerator(index, BossConfig(k=k))
-    cold_report = run_query_batch(fast, queries, k=k, workers=1).report
-    warm_report = run_query_batch(fast, queries, k=k, workers=1).report
-    cache = fast.decoded_cache
+    columnar = BossAccelerator(index, BossConfig(k=k))
+    col_cold_report = run_query_batch(columnar, queries, k=k,
+                                      workers=1).report
+    col_warm_report = run_query_batch(columnar, queries, k=k,
+                                      workers=1).report
+    cache = columnar.decoded_cache
     cache_stats = {
         "hits": cache.hits,
         "misses": cache.misses,
         "hit_rate": round(cache.hit_rate, 4),
     }
-    del fast, cache
-    gc.collect()
-
-    columnar = BossAccelerator(index, BossConfig(k=k), executor="columnar")
-    col_cold_report = run_query_batch(columnar, queries, k=k,
-                                      workers=1).report
-    col_warm_report = run_query_batch(columnar, queries, k=k,
-                                      workers=1).report
     # The batch driver reuses the warmed serving engine: production
     # batches run against a long-lived engine, and the warm pass keeps
     # the CI gate's ratio out of cold-start timing noise.
@@ -126,21 +118,19 @@ def bench_end_to_end(index, queries, k: int, workers: int,
 
     results = {
         "reference": _pass_stats(ref_report),
-        "fast_cold": _vs_reference(cold_report),
-        "fast_warm": _vs_reference(warm_report),
         "columnar_cold": _vs_reference(col_cold_report),
         "columnar_warm": _vs_reference(col_warm_report),
         "batch_driver": dict(_vs_reference(batch_report),
-                             workers=batch_report.workers,
-                             executor="columnar"),
+                             workers=batch_report.workers),
+        "decoded_cache": cache_stats,
     }
+    del columnar, cache
+    gc.collect()
     if mmap_index is not None:
-        mmap_engine = BossAccelerator(mmap_index, BossConfig(k=k),
-                                      executor="columnar")
+        mmap_engine = BossAccelerator(mmap_index, BossConfig(k=k))
         mmap_report = run_query_batch(mmap_engine, queries, k=k,
                                       workers=1).report
         results["mmap_columnar_cold"] = _vs_reference(mmap_report)
-    results["decoded_cache"] = cache_stats
     return results
 
 
@@ -203,7 +193,7 @@ def main(argv=None) -> int:
                         help="CI-sized run (small corpus, few queries)")
     parser.add_argument("--gate", type=float, default=None, metavar="RATIO",
                         help="fail unless batch-driver qps >= RATIO x the "
-                             "fast cold pass of the same run")
+                             "reference cold pass of the same run")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -227,7 +217,7 @@ def main(argv=None) -> int:
         bossx = os.path.join(tmp, "corpus.bossx")
         save_index_binary(index, bossx)
         mmap_index = load_index_mmap(bossx)
-        print(f"running {len(queries)}-query batch (reference / fast / "
+        print(f"running {len(queries)}-query batch (reference / "
               f"columnar / mmap / {args.workers}-worker) ...")
         end_to_end = bench_end_to_end(
             index, queries, args.k, args.workers, mmap_index=mmap_index,
@@ -259,8 +249,8 @@ def main(argv=None) -> int:
     width = 18
     print(f"\n{'pass':<{width}} {'qps':>9} {'p50 ms':>9} {'p95 ms':>9} "
           f"{'speedup':>8}")
-    passes = ("reference", "fast_cold", "fast_warm", "columnar_cold",
-              "columnar_warm", "mmap_columnar_cold", "batch_driver")
+    passes = ("reference", "columnar_cold", "columnar_warm",
+              "mmap_columnar_cold", "batch_driver")
     for name in passes:
         if name not in end_to_end:
             continue
@@ -281,10 +271,11 @@ def main(argv=None) -> int:
 
     if args.gate is not None:
         batch_qps = end_to_end["batch_driver"]["queries_per_second"]
-        floor = args.gate * end_to_end["fast_cold"]["queries_per_second"]
+        floor = args.gate * end_to_end["reference"]["queries_per_second"]
         verdict = "PASS" if batch_qps >= floor else "FAIL"
         print(f"gate: batch driver {batch_qps} qps vs floor "
-              f"{round(floor, 2)} qps ({args.gate}x fast cold) -> {verdict}")
+              f"{round(floor, 2)} qps ({args.gate}x reference cold) "
+              f"-> {verdict}")
         if batch_qps < floor:
             return 1
     return 0

@@ -197,15 +197,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="passes over the batch; passes after the "
                             "first run with a warm decoded-block cache")
     bench.add_argument("--seed", type=int, default=1)
-    bench.add_argument("--no-fast-path", action="store_true",
-                       help="use the per-value reference decoders "
-                            "(pre-fast-path engine) for comparison")
-    bench.add_argument("--executor",
-                       choices=("reference", "fast", "columnar"),
-                       default=None,
-                       help="query executor (default: fast unless "
-                            "--no-fast-path; columnar = vectorized "
-                            "numpy kernels)")
     bench.add_argument("--json", action="store_true",
                        help="emit the reports as JSON")
     _add_storage_arguments(bench)
@@ -792,9 +783,7 @@ def _cmd_bench(args) -> int:
         for spec in sampler.sample_zipf_log(args.queries,
                                             unique_queries=unique)
     ]
-    engine = BossAccelerator(index, BossConfig(k=args.k),
-                             fast_path=not args.no_fast_path,
-                             executor=args.executor)
+    engine = BossAccelerator(index, BossConfig(k=args.k))
     reports = []
     for _ in range(max(1, args.repeat)):
         batch = run_query_batch(engine, queries, k=args.k,
@@ -803,8 +792,6 @@ def _cmd_bench(args) -> int:
     cache = engine.decoded_cache
     if args.json:
         payload = {
-            "fast_path": engine.fast_path,
-            "executor": engine.executor,
             "passes": [report.to_dict() for report in reports],
         }
         if cache is not None:
@@ -816,7 +803,6 @@ def _cmd_bench(args) -> int:
         print(json.dumps(payload, indent=2))
         return 0
     print(f"{len(queries)} queries ({unique} unique), "
-          f"{engine.executor} executor, "
           f"workers={reports[0].workers}")
     print(f"{'pass':<6}{'qps':>10}{'p50 (ms)':>10}{'p95 (ms)':>10}")
     for number, report in enumerate(reports, start=1):

@@ -42,8 +42,13 @@ class ListCursor:
     __slots__ = ("_fetch_log", "_observer", "_list", "_work", "_traffic",
                  "_pattern", "_skip_class", "_block_index", "_position",
                  "_decoded_doc_ids", "_decoded_tfs", "_lasts", "_firsts",
-                 "_metadata_read_upto", "_decoded_cache", "_fast_path",
+                 "_metadata_read_upto", "_decoded_cache",
                  "_last_fetched_block")
+
+    #: Whether payloads decode through the bulk array kernel
+    #: (:meth:`_decode_payload`); the oracle's :class:`ReferenceCursor`
+    #: decodes value by value.
+    bulk_decode = True
 
     def __init__(self, posting_list: CompressedPostingList,
                  work: WorkCounters, traffic: TrafficCounter,
@@ -51,8 +56,7 @@ class ListCursor:
                  skip_class: str = SKIP_NONE,
                  fetch_log: Optional[list] = None,
                  observer=None,
-                 decoded_cache=None,
-                 fast_path: bool = True) -> None:
+                 decoded_cache=None) -> None:
         if skip_class not in (SKIP_OVERLAP, SKIP_ET, SKIP_NONE):
             raise SimulationError(f"unknown skip class {skip_class!r}")
         #: Optional trace of payload fetches as (term, block_index,
@@ -84,8 +88,6 @@ class ListCursor:
         self._last_fetched_block = -1
         #: Host-side :class:`repro.cache.DecodedBlockCache` (or None).
         self._decoded_cache = decoded_cache
-        #: Bulk ``decode_block`` vs per-value reference decode.
-        self._fast_path = fast_path
 
     # ------------------------------------------------------------------
     # Introspection
@@ -278,9 +280,9 @@ class ListCursor:
             raise SimulationError(f"cursor for {self.term!r} exhausted")
         self._charge_metadata(self._block_index)
         block = self._list.blocks[self._block_index]
-        # Functional decode: decoded-block cache first, then either the
-        # bulk fast path or the per-value reference decoder. How the
-        # arrays are *obtained* is a host-side wall-clock concern only.
+        # Functional decode: decoded-block cache first, then the
+        # cursor's decoder. How the arrays are *obtained* is a host-side
+        # wall-clock concern only.
         decoded = None
         cache = self._decoded_cache
         if cache is not None:
@@ -288,15 +290,10 @@ class ListCursor:
                 self._list.term, self._block_index, self._list.scheme
             )
         if decoded is None:
-            if self._fast_path:
-                decoded = self._list.decode_block_arrays(self._block_index)
-            else:
-                postings = self._list.decode_block(self._block_index)
-                decoded = ([p.doc_id for p in postings],
-                           [p.tf for p in postings])
+            decoded = self._decode_payload()
             if self._observer is not None:
                 self._observer.on_decode_path(
-                    self._list.scheme, self._fast_path
+                    self._list.scheme, self.bulk_decode
                 )
             if cache is not None:
                 cache.put(
@@ -337,6 +334,10 @@ class ListCursor:
                 pattern=fetched_pattern,
             )
 
+    def _decode_payload(self):
+        """``(doc_ids, tfs)`` of the current block (bulk decode)."""
+        return self._list.decode_block_arrays(self._block_index)
+
     def _charge_metadata(self, block_index: int) -> None:
         """Charge 19-byte metadata reads, once per block, in order."""
         if block_index <= self._metadata_read_upto:
@@ -351,3 +352,20 @@ class ListCursor:
             BLOCK_METADATA_BYTES * new_blocks,
             accesses=new_blocks,
         )
+
+
+class ReferenceCursor(ListCursor):
+    """A :class:`ListCursor` on the per-value reference decoders.
+
+    The cursor of the reference test oracle
+    (:class:`repro.core.engine.ReferenceAccelerator`); its modeled
+    accounting is the same as its base class's.
+    """
+
+    __slots__ = ()
+
+    bulk_decode = False
+
+    def _decode_payload(self):
+        postings = self._list.decode_block(self._block_index)
+        return [p.doc_id for p in postings], [p.tf for p in postings]

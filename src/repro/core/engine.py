@@ -23,19 +23,29 @@ Query routing (Section IV-B):
 
 Queries with more than 4 terms occupy multiple cores (the mergers chain,
 Section IV-D); the per-query ``cores_used`` feeds the throughput model.
+
+Host-side, every path runs on the columnar kernels of
+:mod:`repro.core.columnar`. :class:`ReferenceAccelerator` runs the
+reference executor instead; it is the test oracle the kernels are
+pinned bit-identical to.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.core.columnar import run_union_columnar, score_matches_columnar
-from repro.core.cursor import SKIP_ET, SKIP_OVERLAP, ListCursor
-from repro.core.fastexec import (
-    run_grouped_intersection_fast,
-    run_union_fast,
+from repro.core.columnar import (
+    run_grouped_intersection_columnar,
+    run_union_columnar,
+    score_matches_columnar,
+)
+from repro.core.cursor import (
+    SKIP_ET,
+    SKIP_OVERLAP,
+    ListCursor,
+    ReferenceCursor,
 )
 from repro.core.groups import GroupCursor
 from repro.core.intersection import run_grouped_intersection
@@ -58,6 +68,11 @@ from repro.observability.observer import NULL_OBSERVER, Observer
 from repro.scm.traffic import AccessClass, AccessPattern, TrafficCounter
 from repro.sim.metrics import WorkCounters
 
+#: Probe names kept for perfbench/layers.py, which wraps the kernels
+#: where the engine looks them up: these module globals.
+run_union_fast = run_union_columnar
+run_grouped_intersection_fast = run_grouped_intersection_columnar
+
 #: Bytes of per-document scoring metadata fetched per evaluated document
 #: (4 B pre-computed BM25 normalizer + 4 B document descriptor).
 SCORE_METADATA_BYTES = 8
@@ -67,12 +82,6 @@ RESULT_ENTRY_BYTES = 8
 
 #: Terms a single BOSS core processes natively (Section IV-B).
 TERMS_PER_CORE = 4
-
-#: Executor implementations the engine can route queries through. All
-#: three are pinned bit-identical by the equivalence suite; they differ
-#: only in host-side wall clock.
-EXECUTORS = ("reference", "fast", "columnar")
-
 
 @dataclass(frozen=True)
 class BossConfig:
@@ -105,47 +114,27 @@ class BossConfig:
 class BossAccelerator:
     """Near-data search accelerator bound to one shard's inverted index."""
 
+    _cursor_class = ListCursor
+
     def __init__(self, index: InvertedIndex,
                  config: Optional[BossConfig] = None,
                  observer: Observer = NULL_OBSERVER,
-                 fast_path: bool = True,
-                 decoded_cache=None,
-                 executor: Optional[str] = None) -> None:
+                 decoded_cache=None) -> None:
         self._index = index
         self._config = BossConfig() if config is None else config
         self._observer = observer
         #: When set (a list), every block payload fetch is appended as
         #: (term, block_index, bytes) — input to the cache simulator.
         self.fetch_log = None
-        #: Which executor implementation runs queries. ``None`` derives
-        #: it from ``fast_path`` (the pre-columnar API); an explicit
-        #: name overrides ``fast_path`` entirely.
-        if executor is None:
-            executor = "fast" if fast_path else "reference"
-        elif executor not in EXECUTORS:
-            raise QueryError(
-                f"unknown executor {executor!r}; expected one of {EXECUTORS}"
-            )
-        self._executor = executor
-        #: Bulk array decode vs the per-value reference decode path.
-        #: ``fast_path=False`` reproduces the pre-fast-path engine
-        #: exactly (reference decoders, no decoded-block cache) — the
-        #: baseline side of the wall-clock benchmark and of the
-        #: modeled-metrics equivalence tests. The columnar executor
-        #: rides on the bulk decode path.
-        fast_path = executor != "reference"
-        self._fast_path = fast_path
-        #: Cross-query block-score cache for the columnar executor
-        #: (block scores depend only on the index snapshot).
-        self._columnar_scores = {} if executor == "columnar" else None
-        # Host-side decoded-block cache: None -> default-capacity cache
-        # when the fast path is on; an int -> that capacity in blocks
-        # (0 disables); a DecodedBlockCache -> shared instance (the
-        # cluster hands one cache to all its leaf engines).
+        #: Cross-query block-score cache of the union kernel (block
+        #: scores depend only on the index snapshot).
+        self._block_scores = {}
+        # Host-side decoded-block cache: None -> default-capacity cache;
+        # an int -> that capacity in blocks (0 disables); a
+        # DecodedBlockCache -> shared instance (the cluster hands one
+        # cache to all its leaf engines).
         if decoded_cache is None:
-            self._decoded_cache = (
-                DecodedBlockCache(observer=observer) if fast_path else None
-            )
+            self._decoded_cache = DecodedBlockCache(observer=observer)
         elif isinstance(decoded_cache, int):
             self._decoded_cache = (
                 DecodedBlockCache(decoded_cache, observer=observer)
@@ -165,15 +154,6 @@ class BossAccelerator:
     @property
     def config(self) -> BossConfig:
         return self._config
-
-    @property
-    def fast_path(self) -> bool:
-        return self._fast_path
-
-    @property
-    def executor(self) -> str:
-        """The executor implementation this engine routes queries to."""
-        return self._executor
 
     @property
     def decoded_cache(self):
@@ -256,20 +236,7 @@ class BossAccelerator:
         cursors = [
             self._cursor(t, work, traffic, SKIP_ET) for t in terms
         ]
-        if self._executor == "columnar":
-            run_union_columnar(
-                cursors,
-                self._index.scorer,
-                topk,
-                work,
-                et_block=self._config.et_block,
-                et_wand=self._config.et_wand,
-                interval_blocks=self._config.et_interval_blocks,
-                score_cache=self._columnar_scores,
-            )
-            return
-        runner = run_union_fast if self._fast_path else run_union
-        runner(
+        run_union_columnar(
             cursors,
             self._index.scorer,
             topk,
@@ -277,6 +244,7 @@ class BossAccelerator:
             et_block=self._config.et_block,
             et_wand=self._config.et_wand,
             interval_blocks=self._config.et_interval_blocks,
+            score_cache=self._block_scores,
         )
 
     def _execute_and_of_groups(self, node: AndNode, topk: TopKQueue,
@@ -346,32 +314,18 @@ class BossAccelerator:
     def _score_matches(self, matches: Sequence[Tuple[int, Dict[str, int]]],
                        topk: TopKQueue, work: WorkCounters) -> None:
         """Scoring + top-k modules for set-operation outputs."""
-        if self._executor == "columnar":
-            score_matches_columnar(matches, self._index, topk, work)
-            return
-        scorer = self._index.scorer
-        for doc, tfs in matches:
-            score = 0.0
-            for term, tf in tfs.items():
-                score += scorer.term_score(
-                    self._index.posting_list(term).idf, tf, doc
-                )
-            work.docs_evaluated += 1
-            work.topk_inserts += 1
-            topk.offer(doc, score)
+        score_matches_columnar(matches, self._index, topk, work)
 
     # ------------------------------------------------------------------
     # Helpers
     # ------------------------------------------------------------------
 
     def _intersect(self, groups: List[GroupCursor], work: WorkCounters):
-        if self._fast_path:
-            return run_grouped_intersection_fast(groups, work)
-        return run_grouped_intersection(groups, work)
+        return run_grouped_intersection_fast(groups, work)
 
     def _cursor(self, term: str, work: WorkCounters,
                 traffic: TrafficCounter, skip_class: str) -> ListCursor:
-        return ListCursor(
+        return self._cursor_class(
             self._index.posting_list(term),
             work,
             traffic,
@@ -380,7 +334,6 @@ class BossAccelerator:
             fetch_log=self.fetch_log,
             observer=self._observer,
             decoded_cache=self._decoded_cache,
-            fast_path=self._fast_path,
         )
 
     def _check_terms(self, node: QueryNode) -> None:
@@ -394,3 +347,52 @@ class BossAccelerator:
             isinstance(node, OrNode)
             and all(isinstance(c, TermNode) for c in node.children)
         )
+
+
+class ReferenceAccelerator(BossAccelerator):
+    """Test oracle: the engine on the reference executor.
+
+    Runs :func:`~repro.core.union.run_union` and
+    :func:`~repro.core.intersection.run_grouped_intersection` over
+    per-value reference decodes, with no decoded-block or block-score
+    cache and a scalar scoring loop. Serving never uses it; the
+    equivalence suites pin :class:`BossAccelerator` bit-identical to it.
+    """
+
+    _cursor_class = ReferenceCursor
+
+    def __init__(self, index: InvertedIndex,
+                 config: Optional[BossConfig] = None,
+                 observer: Observer = NULL_OBSERVER) -> None:
+        super().__init__(index, config, observer, decoded_cache=0)
+
+    def _execute_union(self, node: QueryNode, topk: TopKQueue,
+                       work: WorkCounters, traffic: TrafficCounter) -> None:
+        cursors = [
+            self._cursor(t, work, traffic, SKIP_ET) for t in node.terms()
+        ]
+        run_union(
+            cursors,
+            self._index.scorer,
+            topk,
+            work,
+            et_block=self._config.et_block,
+            et_wand=self._config.et_wand,
+            interval_blocks=self._config.et_interval_blocks,
+        )
+
+    def _intersect(self, groups: List[GroupCursor], work: WorkCounters):
+        return run_grouped_intersection(groups, work)
+
+    def _score_matches(self, matches: Sequence[Tuple[int, Dict[str, int]]],
+                       topk: TopKQueue, work: WorkCounters) -> None:
+        scorer = self._index.scorer
+        for doc, tfs in matches:
+            score = 0.0
+            for term, tf in tfs.items():
+                score += scorer.term_score(
+                    self._index.posting_list(term).idf, tf, doc
+                )
+            work.docs_evaluated += 1
+            work.topk_inserts += 1
+            topk.offer(doc, score)

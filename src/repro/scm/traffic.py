@@ -34,6 +34,11 @@ class AccessClass(Enum):
     Table I bandwidth asymmetry.
     """
 
+    # Members are singletons compared by identity; hashing by identity
+    # keeps ``TrafficCounter`` bucket lookups in C (``Enum.__hash__``
+    # is a Python-level call, several per recorded access).
+    __hash__ = object.__hash__
+
     LD_LIST = "LD List"
     LD_SCORE = "LD Score"
     LD_INTER = "LD Inter"
@@ -49,6 +54,8 @@ class AccessClass(Enum):
 
 class AccessPattern(Enum):
     """Spatial locality of an access run."""
+
+    __hash__ = object.__hash__
 
     SEQUENTIAL = "sequential"
     RANDOM = "random"

@@ -1,5 +1,7 @@
 """BOSS engine tests: correctness vs the oracle, counters, and traffic."""
 
+import typing
+
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
@@ -156,3 +158,14 @@ class TestQueryTypeProperty:
         assert boss.search(
             '"t0" AND ("t1" OR "t2" OR "t3")'
         ).query_type == "Q6"
+
+
+class TestSignature:
+    def test_constructor_annotations_resolve(self):
+        """Every annotation on the constructors names an imported type
+        (``Optional`` was once used without being imported)."""
+        from repro.core.engine import ReferenceAccelerator
+
+        for cls in (BossAccelerator, ReferenceAccelerator):
+            hints = typing.get_type_hints(cls.__init__)
+            assert hints["config"] == typing.Optional[BossConfig]

@@ -12,6 +12,7 @@ import pytest
 
 from repro.compression import get_codec, list_codecs
 from repro.core import BossAccelerator, BossConfig
+from repro.core.engine import ReferenceAccelerator
 from repro.errors import InvertedIndexError
 from repro.index import (
     MmapIndexStorage,
@@ -85,33 +86,31 @@ class TestZeroCopy:
             monkeypatch.setattr(cls, "decode", poisoned)
 
         index = load_index_mmap(bossx_path)
-        for executor in ("fast", "columnar"):
-            engine = BossAccelerator(index, BossConfig(k=10),
-                                     executor=executor)
-            for expression in queries:
-                hits = engine.search(expression).hits
-                assert [
-                    (h.doc_id, h.score) for h in hits
-                ] == expected[expression], (executor, expression)
+        engine = BossAccelerator(index, BossConfig(k=10))
+        for expression in queries:
+            hits = engine.search(expression).hits
+            assert [
+                (h.doc_id, h.score) for h in hits
+            ] == expected[expression], expression
 
     def test_mapped_bytes_is_file_size(self, bossx_path):
         with MmapIndexStorage(bossx_path) as storage:
             assert storage.mapped_bytes == bossx_path.stat().st_size
 
 
-@pytest.mark.parametrize("executor", ["reference", "fast", "columnar"])
+@pytest.mark.parametrize("engine_class", [ReferenceAccelerator,
+                                          BossAccelerator],
+                         ids=["reference", "columnar"])
 def test_mmap_differential_vs_in_memory(bossx_path, corpus_index,
-                                        executor):
+                                        engine_class):
     """Identical modeled output regardless of the storage backend."""
     mapped = load_index_mmap(bossx_path)
-    mmap_engine = BossAccelerator(mapped, BossConfig(k=10),
-                                  executor=executor)
-    mem_engine = BossAccelerator(corpus_index, BossConfig(k=10),
-                                 executor=executor)
+    mmap_engine = engine_class(mapped, BossConfig(k=10))
+    mem_engine = engine_class(corpus_index, BossConfig(k=10))
     for expression in _random_queries(sorted(corpus_index), 7, count=15):
         _assert_results_identical(
             mmap_engine.search(expression), mem_engine.search(expression),
-            (executor, expression),
+            (engine_class.__name__, expression),
         )
 
 

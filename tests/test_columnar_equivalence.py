@@ -1,66 +1,43 @@
-"""Columnar executor equivalence: bit-identical to the other engines.
+"""Columnar executor equivalence: bit-identical to the reference oracle.
 
-The columnar executor (``executor="columnar"``) vectorizes decode and
-scoring with numpy and bulk-counts leader runs, but it is a wall-clock
+The columnar executor (the only serving executor) vectorizes scoring
+with numpy, bulk-counts leader and pair runs, and leapfrogs
+intersections inside decoded blocks, but it is a wall-clock
 optimization only: rankings (to the last float bit), every
 :class:`WorkCounters` field, per-bucket traffic, and full observability
-traces must match the reference and fast executors exactly — across
-codecs, ET ablations, k values, and warm/cold decoded caches.
+traces must match :class:`ReferenceAccelerator` exactly — across
+codecs, ET ablations, k values, and warm, cold or churning decoded
+caches. (Trace identity is pinned in ``test_fastpath_equivalence.py``
+and ``tests/core/test_executor_properties.py``.)
 """
 
 import pytest
 
 from repro.core import BossAccelerator, BossConfig
-from repro.core.engine import EXECUTORS
-from repro.errors import QueryError
-from repro.observability import RecordingObserver
+from repro.core.engine import ReferenceAccelerator
 from tests.conftest import build_random_index
 from tests.test_differential import _random_queries
 from tests.test_fastpath_equivalence import _assert_results_identical
-
-
-class TestExecutorSelection:
-    def test_known_executors(self):
-        assert EXECUTORS == ("reference", "fast", "columnar")
-        index = build_random_index(num_docs=100, vocab_size=8, seed=1)
-        for name in EXECUTORS:
-            engine = BossAccelerator(index, BossConfig(k=5), executor=name)
-            assert engine.executor == name
-
-    def test_executor_derived_from_fast_path(self):
-        index = build_random_index(num_docs=100, vocab_size=8, seed=1)
-        assert BossAccelerator(index).executor == "fast"
-        assert BossAccelerator(index, fast_path=False).executor == \
-            "reference"
-        # An explicit executor overrides the fast_path flag entirely.
-        engine = BossAccelerator(index, fast_path=False,
-                                 executor="columnar")
-        assert engine.executor == "columnar"
-        assert engine.fast_path
-
-    def test_unknown_executor_rejected(self):
-        index = build_random_index(num_docs=100, vocab_size=8, seed=1)
-        with pytest.raises(QueryError):
-            BossAccelerator(index, executor="simd")
 
 
 @pytest.mark.parametrize("seed", [2, 41])
 def test_columnar_modeled_metrics_bit_identical(seed):
     index = build_random_index(num_docs=900, vocab_size=28, seed=seed)
     queries = _random_queries(sorted(index), seed * 11, count=14)
-    columnar = BossAccelerator(index, BossConfig(k=10),
-                               executor="columnar")
-    reference = BossAccelerator(index, BossConfig(k=10),
-                                executor="reference")
-    # Two passes: pass 2 runs entirely against the warm decoded cache
-    # and the columnar executor's cross-query block-score cache.
+    # A decoded-block cache far smaller than the working set: blocks
+    # are evicted and decoded again into fresh arrays, so the
+    # cross-query block-score cache (keyed by array identity) sees keys
+    # retire and must never serve a retired block's scores.
+    columnar = BossAccelerator(index, BossConfig(k=10), decoded_cache=8)
+    reference = ReferenceAccelerator(index, BossConfig(k=10))
     for pass_number in (1, 2):
         for expression in queries:
             _assert_results_identical(
                 columnar.search(expression), reference.search(expression),
                 (pass_number, expression),
             )
-    assert columnar.decoded_cache.hits > 0, "warm pass never hit the cache"
+    cache = columnar.decoded_cache
+    assert cache.hits > 0 and cache.misses > 2 * cache.capacity_blocks
 
 
 @pytest.mark.parametrize("scheme", ["BP", "VB", "S8b", "S16", "OptPFD",
@@ -69,12 +46,11 @@ def test_columnar_equivalence_per_codec(scheme):
     index = build_random_index(num_docs=600, vocab_size=20, seed=77,
                                schemes=[scheme])
     queries = _random_queries(sorted(index), 19, count=8)
-    columnar = BossAccelerator(index, BossConfig(k=10),
-                               executor="columnar")
-    fast = BossAccelerator(index, BossConfig(k=10), executor="fast")
+    columnar = BossAccelerator(index, BossConfig(k=10))
+    reference = ReferenceAccelerator(index, BossConfig(k=10))
     for expression in queries:
         _assert_results_identical(
-            columnar.search(expression), fast.search(expression),
+            columnar.search(expression), reference.search(expression),
             (scheme, expression),
         )
 
@@ -92,14 +68,14 @@ def _ablation_configs():
 
 @pytest.mark.parametrize("name", sorted(_ablation_configs()))
 def test_columnar_equivalence_under_et_ablations(name):
-    """The leader-run bulk path only engages under the default flags;
-    every ablation must fall back to the general loop with identical
-    modeled output."""
+    """Leader and pair runs only engage under the default flags; every
+    ablation must fall back to the general loop with identical modeled
+    output."""
     config = _ablation_configs()[name]
     index = build_random_index(num_docs=700, vocab_size=22, seed=5)
     queries = _random_queries(sorted(index), 23, count=10)
-    columnar = BossAccelerator(index, config, executor="columnar")
-    reference = BossAccelerator(index, config, executor="reference")
+    columnar = BossAccelerator(index, config)
+    reference = ReferenceAccelerator(index, config)
     for expression in queries:
         _assert_results_identical(
             columnar.search(expression), reference.search(expression),
@@ -111,36 +87,11 @@ def test_columnar_equivalence_under_et_ablations(name):
 def test_columnar_equivalence_across_k(k):
     index = build_random_index(num_docs=800, vocab_size=24, seed=9)
     queries = _random_queries(sorted(index), 31, count=10)
-    columnar = BossAccelerator(index, BossConfig(k=k),
-                               executor="columnar")
-    reference = BossAccelerator(index, BossConfig(k=k),
-                                executor="reference")
+    columnar = BossAccelerator(index, BossConfig(k=k))
+    reference = ReferenceAccelerator(index, BossConfig(k=k))
     for expression in queries:
         _assert_results_identical(
             columnar.search(expression, k=k),
             reference.search(expression, k=k),
             (k, expression),
         )
-
-
-def test_traces_bit_identical_columnar_vs_fast():
-    index = build_random_index(num_docs=800, vocab_size=25, seed=13)
-    queries = _random_queries(sorted(index), 29, count=10)
-
-    columnar_observer = RecordingObserver()
-    fast_observer = RecordingObserver()
-    columnar = BossAccelerator(index, BossConfig(k=10),
-                               observer=columnar_observer,
-                               executor="columnar")
-    fast = BossAccelerator(index, BossConfig(k=10),
-                           observer=fast_observer, executor="fast")
-    for _ in range(2):  # second pass exercises the warm caches
-        for expression in queries:
-            columnar.search(expression)
-            fast.search(expression)
-    assert len(columnar_observer.traces) == len(fast_observer.traces)
-    for columnar_trace, fast_trace in zip(columnar_observer.traces,
-                                          fast_observer.traces):
-        assert columnar_trace.spans == fast_trace.spans
-        assert columnar_trace.traffic == fast_trace.traffic
-        assert columnar_trace.to_dict() == fast_trace.to_dict()

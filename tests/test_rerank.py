@@ -137,8 +137,9 @@ class TestNormalizerInversion:
 
 class TestAcrossEngines:
     """The second stage resolves candidate evidence over any first
-    stage: a columnar-executor monolith, or a sharded cluster whose
-    leaves carry corpus-global docIDs and statistics."""
+    stage: the reference oracle, a columnar-executor monolith, or a
+    sharded cluster whose leaves carry corpus-global docIDs and
+    statistics."""
 
     @pytest.fixture(scope="class")
     def documents(self):
@@ -166,21 +167,21 @@ class TestAcrossEngines:
         ])
 
     @pytest.fixture(scope="class")
-    def columnar(self, documents):
+    def reference(self, documents):
+        from repro.core.engine import ReferenceAccelerator
         from repro.index import IndexBuilder
 
         builder = IndexBuilder()
         for doc in documents:
             builder.add_document(doc)
-        return BossAccelerator(builder.build(), BossConfig(k=40),
-                               executor="columnar")
+        return ReferenceAccelerator(builder.build(), BossConfig(k=40))
 
     QUERIES = ['"t0" OR "t3"', '"t1" AND "t2"', '"t4" OR "t7" OR "t0"']
 
     @pytest.mark.parametrize("expr", QUERIES)
-    def test_columnar_matches_row_pipeline(self, monolith, columnar, expr):
-        row = TwoStageSearch(monolith, first_stage_k=40).search(expr, k=10)
-        col = TwoStageSearch(columnar, first_stage_k=40).search(expr, k=10)
+    def test_columnar_matches_row_pipeline(self, monolith, reference, expr):
+        row = TwoStageSearch(reference, first_stage_k=40).search(expr, k=10)
+        col = TwoStageSearch(monolith, first_stage_k=40).search(expr, k=10)
         assert [(h.doc_id, h.score) for h in row.hits] == [
             (h.doc_id, h.score) for h in col.hits
         ]
